@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	figures [-full] [-fig N] [-workers N] [-shards N] [-batch N] [-bench-json FILE]
+//	figures [-full] [-fig N] [-workers N] [-batch N] [-bench-json FILE]
 //
 // Without flags it runs the quick scale (seconds of wall time per
 // figure); -full approaches the paper's dimensions. -fig selects one
@@ -15,11 +15,8 @@
 // run).
 // -workers bounds the run-matrix pool the harnesses fan cells over
 // (0 = SASPAR_PARALLEL env, then GOMAXPROCS; 1 = sequential); output
-// is identical at any worker count. -shards additionally parallelizes
-// each cell's engine ticks (engine.Config.Shards); the shared token
-// budget in internal/parallel keeps workers × shards from
-// oversubscribing the host, and output is byte-identical at any shard
-// count too. -batch sets the engine's generation block size
+// is identical at any worker count. Each cell's engine ticks run on
+// one goroutine. -batch sets the engine's generation block size
 // (engine.Config.BatchSize, default 64; 1 = tuple-at-a-time): a pure
 // execution knob of the columnar data plane, byte-identical output at
 // any value. -bench-json measures a performance
@@ -60,7 +57,6 @@ func main() {
 		sc = bench.Paper()
 	}
 	sc.Workers = cf.Workers
-	sc.Shards = cf.Shards
 	sc.Batch = cf.Batch
 
 	if *benchCompare != "" {

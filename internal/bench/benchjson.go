@@ -50,13 +50,6 @@ type BenchReport struct {
 	// tuple-at-a-time generation, so the batch-off tax stays visible.
 	EngineStep map[string]BenchUnit `json:"engine_step"`
 
-	// EngineRunSharded holds the same shared fixture's tick cost at
-	// shards 1, 2 and 4 ("shards1"...), measured with the process-wide
-	// parallel budget raised so shard workers are actually granted on
-	// small CI hosts. Outputs are byte-identical across entries (the
-	// determinism tests enforce it); only the time column may move.
-	EngineRunSharded map[string]BenchUnit `json:"engine_run_sharded"`
-
 	RunAllSequentialSec float64 `json:"runall_sequential_seconds"`
 	RunAllParallelSec   float64 `json:"runall_parallel_seconds"`
 	RunAllSpeedup       float64 `json:"runall_speedup"`
@@ -133,7 +126,7 @@ func (g *blockGen) NextBlock(b *engine.TupleBlock, from, to int) {
 // exported API — the same shape as the internal BenchmarkEngineStep
 // fixture: two streams with deterministic generators, a mix of keyed
 // aggregations and a join.
-func stepBenchEngine(shared bool, shards, batch int) (*engine.Engine, vtime.Duration, error) {
+func stepBenchEngine(shared bool, batch int) (*engine.Engine, vtime.Duration, error) {
 	cfg := engine.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.NumPartitions = 8
@@ -141,7 +134,6 @@ func stepBenchEngine(shared bool, shards, batch int) (*engine.Engine, vtime.Dura
 	cfg.SourceTasks = 4
 	cfg.TupleWeight = 500
 	cfg.Shared = shared
-	cfg.Shards = shards
 	cfg.BatchSize = batch
 	gen := func(salt int64) func(task int) engine.Source {
 		return func(task int) engine.Source {
@@ -220,7 +212,7 @@ func measureEngineStep(rep *BenchReport, batch, reps int) error {
 	}{{"nonshared", false, batch}, {"shared", true, batch}, {"shared_batch1", true, 1}} {
 		var best BenchUnit
 		for i := 0; i < reps; i++ {
-			e, tick, err := stepBenchEngine(mode.shared, 0, mode.batch)
+			e, tick, err := stepBenchEngine(mode.shared, mode.batch)
 			if err != nil {
 				return err
 			}
@@ -274,22 +266,6 @@ func CollectBenchReport(sc Scale) (*BenchReport, error) {
 		return nil, err
 	}
 	rep.MigrationPauseSec = pause
-
-	// Intra-run sharding: same shared fixture, shards 1/2/4. Raise the
-	// process-wide token budget for the measurement so shard workers
-	// are granted even when the matrix pool would normally starve them,
-	// then restore the default.
-	rep.EngineRunSharded = map[string]BenchUnit{}
-	parallel.SetBudget(8)
-	for _, shards := range []int{1, 2, 4} {
-		e, tick, err := stepBenchEngine(true, shards, batch)
-		if err != nil {
-			parallel.SetBudget(-1)
-			return nil, err
-		}
-		rep.EngineRunSharded[fmt.Sprintf("shards%d", shards)] = benchUnitOf(e, tick)
-	}
-	parallel.SetBudget(-1)
 
 	seq := sc
 	seq.Workers = 1

@@ -44,8 +44,8 @@ type ElasticRow struct {
 
 // Elastic runs both arms, fanned over the run-matrix pool. Cells
 // measure virtual-time metrics only, so the solver runs under the
-// deterministic budget and output is byte-identical at any worker or
-// shard count.
+// deterministic budget and output is byte-identical at any worker
+// count.
 func Elastic(sc Scale) ([]ElasticRow, error) {
 	sc.DeterministicOpt = true
 	arms := []bool{true, false} // shared, sequential

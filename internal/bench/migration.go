@@ -51,7 +51,7 @@ func MigrationDrifts() []float64 { return []float64{1, 2, 4} }
 // Migration runs both modes over the drift axis, fanned over the
 // run-matrix pool. Cells measure virtual-time metrics only, so the
 // solver runs under the deterministic budget and output is
-// byte-identical at any worker or shard count.
+// byte-identical at any worker count.
 func Migration(sc Scale) ([]MigrationRow, error) {
 	sc.DeterministicOpt = true
 	modes := []string{core.MigrationStaged, core.MigrationPause}

@@ -18,17 +18,14 @@ import (
 // Elastic scale-out/in joins the golden-trace determinism contract:
 // a run whose cluster grows and shrinks mid-flight — join decisions,
 // post-join rebalances, AQE-mediated drains, retirements — must still
-// produce a byte-identical fingerprint at any shard count and worker
-// budget. Elasticity touches every layer a shard race could corrupt
-// (node admission order, lease movement, drain quiescence detection,
-// checkpoint-residual restores), so it gets its own scenario rather
-// than riding the static-cluster ones.
+// produce a byte-identical fingerprint at any worker budget.
+// Elasticity touches node admission order, lease movement, drain
+// quiescence detection and checkpoint-residual restores, so it gets
+// its own scenario rather than riding the static-cluster ones.
 
-// elasticDetGrid is the {1,4} shards × {0,4} budget matrix; the base
-// fingerprint is cut at shards=1 budget=0.
-var elasticDetGrid = []struct{ shards, budget int }{
-	{1, 0}, {4, 0}, {1, 4}, {4, 4},
-}
+// elasticDetGrid is the {0,4} budget axis; the base fingerprint is cut
+// at budget 0.
+var elasticDetGrid = []int{0, 4}
 
 // runElasticFingerprint replays the elastic schedule: a 6× flash crowd
 // for 12 virtual seconds (forcing joins and a rebalance onto the new
@@ -36,13 +33,12 @@ var elasticDetGrid = []struct{ shards, budget int }{
 // floor. withCrash additionally strikes a node late in the flash —
 // after the autoscaler has admitted capacity — with aligned-barrier
 // checkpoints armed, composing join, recovery and restore in one run.
-func runElasticFingerprint(t *testing.T, shards, budget int, withCrash bool) ([]byte, Report) {
+func runElasticFingerprint(t *testing.T, budget int, withCrash bool) ([]byte, Report) {
 	t.Helper()
 	parallel.SetBudget(budget)
 	defer parallel.SetBudget(-1)
 
 	engCfg := elasticEngineConfig()
-	engCfg.Shards = shards
 	engCfg.Seed = 42
 
 	cfg := elasticCoreConfig()
@@ -95,7 +91,7 @@ func runElasticFingerprint(t *testing.T, shards, budget int, withCrash bool) ([]
 }
 
 func TestGoldenTraceDeterminismUnderElasticity(t *testing.T) {
-	base, rep := runElasticFingerprint(t, 1, 0, false)
+	base, rep := runElasticFingerprint(t, 0, false)
 	// The schedule must actually exercise both directions, or the
 	// determinism claim is vacuous.
 	if rep.ElasticJoins == 0 {
@@ -104,11 +100,10 @@ func TestGoldenTraceDeterminismUnderElasticity(t *testing.T) {
 	if rep.ElasticDrains == 0 {
 		t.Fatal("elastic scenario never drained; the determinism test is vacuous")
 	}
-	for _, g := range elasticDetGrid[1:] {
-		got, _ := runElasticFingerprint(t, g.shards, g.budget, false)
+	for _, budget := range elasticDetGrid[1:] {
+		got, _ := runElasticFingerprint(t, budget, false)
 		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
+			t.Fatalf("budget=%d diverged from budget=0 at %s", budget, diffLine(base, got))
 		}
 	}
 }
@@ -117,19 +112,18 @@ func TestGoldenTraceDeterminismUnderElasticityWithCrash(t *testing.T) {
 	// The composition scenario: a node crash strikes during the flash
 	// crowd while the autoscaler is admitting capacity and checkpoints
 	// run, so the fingerprint covers recovery preempting elasticity and
-	// the checkpoint-residual restore path under sharded execution.
-	base, rep := runElasticFingerprint(t, 1, 0, true)
+	// the checkpoint-residual restore path.
+	base, rep := runElasticFingerprint(t, 0, true)
 	if rep.FaultsInjected == 0 {
 		t.Fatal("crash never struck; the composition test is vacuous")
 	}
 	if rep.ElasticJoins == 0 {
 		t.Fatal("no join composed with the crash; the composition test is vacuous")
 	}
-	for _, g := range elasticDetGrid[1:] {
-		got, _ := runElasticFingerprint(t, g.shards, g.budget, true)
+	for _, budget := range elasticDetGrid[1:] {
+		got, _ := runElasticFingerprint(t, budget, true)
 		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
+			t.Fatalf("budget=%d diverged from budget=0 at %s", budget, diffLine(base, got))
 		}
 	}
 }

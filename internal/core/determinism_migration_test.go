@@ -20,24 +20,21 @@ import (
 // The migration-mode axis of the golden-trace determinism contract:
 // checkpoint-staged migration and classic pause-and-transfer are two
 // transfer schedules for the SAME logical reconfigurations, so each
-// mode must be byte-identical to itself at any shard count and worker
-// budget, and — because the staged snapshot is a wire/CPU discount
+// mode must be byte-identical to itself at any worker budget, and — because the staged snapshot is a wire/CPU discount
 // that never enters live window state — both modes must produce
 // identical final window results under the same seed and drift
 // schedule. Full fingerprints cannot match across modes (the transfer
 // timing itself differs); exact-mode window results can and must.
 
-// migDetGrid is the {1,4} shards × {0,4} budget matrix each mode is
-// replayed over; the per-mode base is cut at shards=1 budget=0.
-var migDetGrid = []struct{ shards, budget int }{
-	{1, 0}, {4, 0}, {1, 4}, {4, 4},
-}
+// migDetGrid is the {0,4} budget axis each mode is replayed over; the
+// per-mode base is cut at budget 0.
+var migDetGrid = []int{0, 4}
 
 // driftingStream rotates the hot-key set every 5 virtual seconds, so
 // successive optimizer rounds see genuinely different skew and keep
 // accepting plans — each one a live migration in the mode under test.
 // The generator is a pure function of (task, index, timestamp): the
-// drift schedule is identical across modes, shard counts and budgets.
+// drift schedule is identical across modes and budgets.
 func driftingStream() engine.StreamDef {
 	return engine.StreamDef{
 		Name: "purchases", NumCols: 3, BytesPerTuple: 100,
@@ -61,14 +58,13 @@ func driftingStream() engine.StreamDef {
 // runMigrationFingerprint replays the drifting-skew schedule in the
 // given migration mode and returns the byte fingerprint, the final
 // report, and the sorted exact-mode window results.
-func runMigrationFingerprint(t *testing.T, mode string, shards, budget int) ([]byte, Report, []engine.AggResult) {
+func runMigrationFingerprint(t *testing.T, mode string, budget int) ([]byte, Report, []engine.AggResult) {
 	t.Helper()
 	parallel.SetBudget(budget)
 	defer parallel.SetBudget(-1)
 
 	engCfg := testEngineConfig()
 	engCfg.ExactWindows = true
-	engCfg.Shards = shards
 	engCfg.Seed = 42
 
 	cfg := fastCfg()
@@ -121,7 +117,7 @@ func TestGoldenTraceDeterminismAcrossMigrationModes(t *testing.T) {
 	for _, mode := range []string{MigrationStaged, MigrationPause} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			base, rep, results := runMigrationFingerprint(t, mode, 1, 0)
+			base, rep, results := runMigrationFingerprint(t, mode, 0)
 			runs[mode] = modeRun{rep, results}
 			if rep.Applied == 0 {
 				t.Fatalf("mode %s applied no reconfiguration; the axis is vacuous", mode)
@@ -147,11 +143,11 @@ func TestGoldenTraceDeterminismAcrossMigrationModes(t *testing.T) {
 			if rep.MigrationPauseSec <= 0 {
 				t.Fatalf("mode %s recorded no migration pause despite %d applied", mode, rep.Applied)
 			}
-			for _, g := range migDetGrid[1:] {
-				got, _, _ := runMigrationFingerprint(t, mode, g.shards, g.budget)
+			for _, budget := range migDetGrid[1:] {
+				got, _, _ := runMigrationFingerprint(t, mode, budget)
 				if !bytes.Equal(base, got) {
-					t.Fatalf("mode=%s shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-						mode, g.shards, g.budget, diffLine(base, got))
+					t.Fatalf("mode=%s budget=%d diverged from budget=0 at %s",
+						mode, budget, diffLine(base, got))
 				}
 			}
 		})
@@ -183,22 +179,21 @@ func TestMigrationStagedDeterminismWithCrash(t *testing.T) {
 	// Staged migration composed with the crash + checkpoint scenario of
 	// the faults determinism test: the evacuation after the crash rides
 	// the staged path (the chain predates the fault), and the fingerprint
-	// must stay byte-identical across the shard/budget grid. Cross-mode
+	// must stay byte-identical across the budget axis. Cross-mode
 	// result equality is NOT claimed here — the crash destroys state, and
 	// what exactly dies depends on placement at strike time, which the
 	// transfer schedule legitimately shifts.
-	base, rep := runFingerprint(t, spe.Flink, 1, 0, 0, true)
+	base, rep := runFingerprint(t, spe.Flink, 0, 0, true)
 	if rep.FaultsInjected == 0 || rep.Checkpoints == 0 {
 		t.Fatal("composition scenario vacuous")
 	}
 	if rep.MigrationsStaged == 0 && rep.MigrationFallbacks == 0 {
 		t.Fatal("no reconfiguration even attempted the staged gate; the composition is vacuous")
 	}
-	for _, g := range migDetGrid[1:] {
-		got, _ := runFingerprint(t, spe.Flink, g.shards, g.budget, 0, true)
+	for _, budget := range migDetGrid[1:] {
+		got, _ := runFingerprint(t, spe.Flink, budget, 0, true)
 		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
+			t.Fatalf("budget=%d diverged from budget=0 at %s", budget, diffLine(base, got))
 		}
 	}
 }

@@ -16,24 +16,20 @@ import (
 	"saspar/internal/vtime"
 )
 
-// This file is the tentpole's proof: intra-run sharding must be
-// unobservable. For every SPE profile, a fixed seed has to produce a
-// byte-identical run fingerprint — the JSON core.Report, the full
-// control-plane event trace, and the Prometheus metrics dump — at any
-// shard count and any parallel worker budget, including a composition
-// with a scripted node crash and aligned-barrier checkpointing. The
-// fingerprint covers every layer a shard race could corrupt: engine
-// metrics folds, optimizer inputs (sampled statistics), AQE phase
-// transitions, fault detection and restore accounting.
+// Execution knobs must be unobservable. For every SPE profile, a fixed
+// seed has to produce a byte-identical run fingerprint — the JSON
+// core.Report, the full control-plane event trace, and the Prometheus
+// metrics dump — at any generation batch size and any process-wide
+// parallel worker budget, including a composition with a scripted node
+// crash and aligned-barrier checkpointing. The fingerprint covers
+// engine metrics folds, optimizer inputs (sampled statistics), AQE
+// phase transitions, fault detection and restore accounting.
+// pinned_digest_test.go additionally pins the base fingerprints across
+// commits.
 
-// detGrid is the shard × budget matrix every scenario is replayed
-// over. Budget 0 forces the sequential inline path even at shards=4
-// (the degradation every 1-core CI host exercises); budget 4 grants
-// real worker goroutines.
-var detGrid = []struct{ shards, budget int }{
-	{1, 0}, {2, 0}, {4, 0},
-	{1, 4}, {2, 4}, {4, 4},
-}
+// detGrid is the worker-budget axis every scenario is replayed over;
+// the base is cut at budget 0.
+var detGrid = []int{0, 4}
 
 // detWorkload is a deterministic two-stream mix: two identical keyed
 // aggregations (the sharing pair) plus a join, so the fingerprint
@@ -53,19 +49,18 @@ func detWorkload() ([]engine.StreamDef, []engine.QuerySpec) {
 	return streams, qs
 }
 
-// runFingerprint runs one scenario at the given shard count, parallel
-// budget and generation batch size (0 = engine default) and returns its
-// byte fingerprint. Every wall-clock cutoff is replaced by
+// runFingerprint runs one scenario at the given parallel budget and
+// generation batch size (0 = engine default) and returns its byte
+// fingerprint. Every wall-clock cutoff is replaced by
 // deterministic node budgets so the optimizer's decisions cannot depend
 // on machine speed or concurrent load.
-func runFingerprint(t *testing.T, kind spe.Kind, shards, budget, batch int, withFaults bool) ([]byte, Report) {
+func runFingerprint(t *testing.T, kind spe.Kind, budget, batch int, withFaults bool) ([]byte, Report) {
 	t.Helper()
 	parallel.SetBudget(budget)
 	defer parallel.SetBudget(-1)
 
 	engCfg := testEngineConfig()
 	engCfg.Profile = spe.Profile(kind)
-	engCfg.Shards = shards
 	engCfg.BatchSize = batch
 	engCfg.Seed = 42
 
@@ -132,76 +127,52 @@ func diffLine(a, b []byte) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-func TestGoldenTraceDeterminismAcrossShards(t *testing.T) {
-	for _, kind := range spe.Kinds() {
-		kind := kind
-		t.Run(spe.SUT{Kind: kind, Saspar: true}.Name(), func(t *testing.T) {
-			base, rep := runFingerprint(t, kind, 1, 0, 0, false)
-			if len(base) == 0 {
-				t.Fatal("empty fingerprint")
-			}
-			if rep.Throughput == 0 {
-				t.Fatal("scenario processed nothing; the determinism test is vacuous")
-			}
-			for _, g := range detGrid[1:] {
-				got, _ := runFingerprint(t, kind, g.shards, g.budget, 0, false)
-				if !bytes.Equal(base, got) {
-					t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-						g.shards, g.budget, diffLine(base, got))
-				}
-			}
-		})
-	}
-}
-
 func TestGoldenTraceDeterminismUnderFaults(t *testing.T) {
 	// The composition scenario: a node crash strikes mid-measurement
 	// while aligned-barrier checkpoints run, so the fingerprint also
 	// covers marker alignment, checkpoint capture, evacuation and
-	// restore under sharded execution.
-	base, rep := runFingerprint(t, spe.Flink, 1, 0, 0, true)
+	// restore.
+	base, rep := runFingerprint(t, spe.Flink, 0, 0, true)
 	if rep.FaultsInjected == 0 {
 		t.Fatal("fault scenario never struck; the composition test is vacuous")
 	}
 	if rep.Checkpoints == 0 {
 		t.Fatal("no checkpoint completed; the composition test is vacuous")
 	}
-	for _, g := range detGrid[1:] {
-		got, _ := runFingerprint(t, spe.Flink, g.shards, g.budget, 0, true)
+	for _, budget := range detGrid[1:] {
+		got, _ := runFingerprint(t, spe.Flink, budget, 0, true)
 		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
+			t.Fatalf("budget=%d diverged from budget=0 at %s", budget, diffLine(base, got))
 		}
 	}
 }
 
-// batchGrid is the batch × shard matrix the columnar data plane is
-// replayed over, against a batch=1 (strictly tuple-at-a-time) baseline.
-// Shards 4 runs with a real worker budget so batching composes with
-// parallel execution, not just with the inline path.
-var batchGrid = []struct{ batch, shards, budget int }{
-	{7, 1, 0}, {64, 1, 0},
-	{7, 4, 4}, {64, 4, 4},
-	{1, 4, 4}, // batching off, sharding on: isolates the axes
+// batchGrid is the batch × budget matrix the columnar data plane is
+// replayed over, against a batch=1 (strictly tuple-at-a-time) budget=0
+// baseline.
+var batchGrid = []struct{ batch, budget int }{
+	{7, 0}, {64, 0},
+	{7, 4}, {64, 4},
+	{1, 4}, // batching off, budget on: isolates the axes
 }
 
 func TestGoldenTraceDeterminismAcrossBatchSizes(t *testing.T) {
 	// The generation batch size is an execution blocking factor of the
 	// columnar data plane, never an observable: a block boundary may not
 	// change one byte of the report, trace or metrics dump at any batch
-	// size, under any sharding.
+	// size, under any worker budget.
 	for _, kind := range spe.Kinds() {
 		kind := kind
 		t.Run(spe.SUT{Kind: kind, Saspar: true}.Name(), func(t *testing.T) {
-			base, rep := runFingerprint(t, kind, 1, 0, 1, false)
+			base, rep := runFingerprint(t, kind, 0, 1, false)
 			if rep.Throughput == 0 {
 				t.Fatal("scenario processed nothing; the batch-axis test is vacuous")
 			}
 			for _, g := range batchGrid {
-				got, _ := runFingerprint(t, kind, g.shards, g.budget, g.batch, false)
+				got, _ := runFingerprint(t, kind, g.budget, g.batch, false)
 				if !bytes.Equal(base, got) {
-					t.Fatalf("batch=%d shards=%d budget=%d diverged from batch=1 shards=1 at %s",
-						g.batch, g.shards, g.budget, diffLine(base, got))
+					t.Fatalf("batch=%d budget=%d diverged from batch=1 budget=0 at %s",
+						g.batch, g.budget, diffLine(base, got))
 				}
 			}
 		})
@@ -212,15 +183,15 @@ func TestGoldenTraceDeterminismAcrossBatchSizesUnderFaults(t *testing.T) {
 	// Batching composed with the crash + checkpoint scenario: block
 	// boundaries may not shift marker alignment or crash-destruction
 	// accounting.
-	base, rep := runFingerprint(t, spe.Flink, 1, 0, 1, true)
+	base, rep := runFingerprint(t, spe.Flink, 0, 1, true)
 	if rep.FaultsInjected == 0 || rep.Checkpoints == 0 {
 		t.Fatal("composition scenario vacuous")
 	}
 	for _, g := range batchGrid {
-		got, _ := runFingerprint(t, spe.Flink, g.shards, g.budget, g.batch, true)
+		got, _ := runFingerprint(t, spe.Flink, g.budget, g.batch, true)
 		if !bytes.Equal(base, got) {
-			t.Fatalf("batch=%d shards=%d budget=%d diverged from batch=1 shards=1 at %s",
-				g.batch, g.shards, g.budget, diffLine(base, got))
+			t.Fatalf("batch=%d budget=%d diverged from batch=1 budget=0 at %s",
+				g.batch, g.budget, diffLine(base, got))
 		}
 	}
 }

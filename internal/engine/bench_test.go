@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"saspar/internal/parallel"
 	"saspar/internal/vtime"
 )
 
@@ -88,10 +87,6 @@ func benchQueries(n int) []QuerySpec {
 }
 
 func benchEngine(b *testing.B, shared bool, queries int) *Engine {
-	return benchEngineSharded(b, shared, queries, 0)
-}
-
-func benchEngineSharded(b *testing.B, shared bool, queries, shards int) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
@@ -100,7 +95,6 @@ func benchEngineSharded(b *testing.B, shared bool, queries, shards int) *Engine 
 	cfg.SourceTasks = 4
 	cfg.TupleWeight = 500
 	cfg.Shared = shared
-	cfg.Shards = shards
 	e, err := New(cfg, benchStreams(), benchQueries(queries))
 	if err != nil {
 		b.Fatal(err)
@@ -131,29 +125,17 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRun measures whole steady-state ticks through the
-// public Run API at several shard counts. The process-wide parallel
-// token budget is raised so shard workers are actually granted even on
-// small CI hosts (the default budget is GOMAXPROCS-1 extras), then
-// restored. The determinism suite asserts output is byte-identical
-// across shard counts; this benchmark shows what the knob buys in wall
-// clock — expect ≥2× at shards4 on a 4+ core machine, and no change
-// (shards clamp to one worker) on a single-core one.
+// BenchmarkEngineRun measures whole steady-state ticks of the shared
+// fixture through the public Run API.
 func BenchmarkEngineRun(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			parallel.SetBudget(8)
-			defer parallel.SetBudget(-1)
-			e := benchEngineSharded(b, true, 6, shards)
-			tick := e.cfg.Tick
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.Run(tick); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e := benchEngine(b, true, 6)
+	tick := e.cfg.Tick
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Run(tick); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -205,7 +187,7 @@ func drainForBench(e *Engine) {
 			for !q.empty() {
 				en := q.pop()
 				e.inboxBytes[s.node] -= en.bytes
-				e.nodes[s.node].recycle(en)
+				e.recycle(en)
 			}
 		}
 	}

@@ -380,8 +380,7 @@ func (e *Engine) RestoreGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	if e.nodeIsDown(s.node) {
 		return 0
 	}
-	nr := e.nodes[s.node]
-	en := nr.newEntry()
+	en := e.newEntry()
 	en.kind = entryState
 	en.stQuery = cg.Query
 	en.stGroup = cg.Group
@@ -394,7 +393,7 @@ func (e *Engine) RestoreGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	en.stWeight += float64(len(cg.Join[0]) + len(cg.Join[1]))
 	e.outstandingState++ // mergeState's decrement balances this
 	e.mergeState(s, en, false)
-	nr.recycle(en)
+	e.recycle(en)
 	e.restoredBytes += bytes
 	return bytes
 }

@@ -97,16 +97,16 @@ func TestSlidingWindowMassConservation(t *testing.T) {
 	}
 }
 
-// joinEngine builds a single exact join over two small streams.
-func joinEngine(t *testing.T) *Engine {
+// joinEngine builds a single exact join over two small streams, keyed
+// on the given column of each.
+func joinEngine(t *testing.T, streams []StreamDef, keys [2]int) *Engine {
 	t.Helper()
 	cfg := lightConfig()
-	streams := []StreamDef{testStream("l", 8), testStream("r", 8)}
 	q := QuerySpec{
 		ID: "j", Kind: OpJoin,
 		Inputs: []Input{
-			{Stream: 0, Key: KeySpec{0}},
-			{Stream: 1, Key: KeySpec{0}},
+			{Stream: 0, Key: KeySpec{keys[0]}},
+			{Stream: 1, Key: KeySpec{keys[1]}},
 		},
 		Window: WindowSpec{Range: vtime.Second, Slide: vtime.Second},
 	}
@@ -122,40 +122,53 @@ func joinEngine(t *testing.T) *Engine {
 func TestReconfigurationPreservesJoinMatches(t *testing.T) {
 	// Total join matches over a fixed horizon must be identical with
 	// and without a live re-partitioning: held tuples replay against
-	// the merged buffers, so no match is lost or duplicated.
-	run := func(reconfig bool) float64 {
-		e := joinEngine(t)
-		e.Metrics().StartMeasurement(0)
-		e.Run(6 * vtime.Second)
-		if reconfig {
-			na := e.Assignment(0).Clone()
-			for g := 0; g < na.NumGroups(); g++ {
-				na.Set(keyspace.GroupID(g), (na.Partition(keyspace.GroupID(g))+1)%keyspace.PartitionID(e.Config().NumPartitions))
+	// the merged buffers, so no match is lost or duplicated. The
+	// mixed-width shape parks rows of a 2-column and a 4-column input
+	// in one held block.
+	for _, shape := range []struct {
+		name    string
+		streams []StreamDef
+		keys    [2]int
+	}{
+		{"same-width", []StreamDef{testStream("l", 8), testStream("r", 8)}, [2]int{0, 0}},
+		{"mixed-width", []StreamDef{widthStream("narrow", 2, 8), widthStream("wide", 4, 8)}, [2]int{1, 3}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			run := func(reconfig bool) float64 {
+				e := joinEngine(t, shape.streams, shape.keys)
+				e.Metrics().StartMeasurement(0)
+				e.Run(6 * vtime.Second)
+				if reconfig {
+					na := e.Assignment(0).Clone()
+					for g := 0; g < na.NumGroups(); g++ {
+						na.Set(keyspace.GroupID(g), (na.Partition(keyspace.GroupID(g))+1)%keyspace.PartitionID(e.Config().NumPartitions))
+					}
+					if err := e.InjectReconfig(map[int]*keyspace.Assignment{0: na}); err != nil {
+						t.Fatal(err)
+					}
+					epoch := e.Epoch()
+					for i := 0; i < 200 && !e.ReconfigComplete(epoch); i++ {
+						e.Run(e.Config().Tick)
+					}
+					if !e.ReconfigComplete(epoch) {
+						t.Fatal("join reconfiguration never completed")
+					}
+					e.InjectFinalize()
+				}
+				// Continue to a fixed virtual horizon either way.
+				e.Run(vtime.Time(14 * vtime.Second).Sub(e.Clock()))
+				e.Metrics().StopMeasurement(e.Clock())
+				return e.Metrics().EmittedTotal()
 			}
-			if err := e.InjectReconfig(map[int]*keyspace.Assignment{0: na}); err != nil {
-				t.Fatal(err)
+			base := run(false)
+			moved := run(true)
+			if base == 0 {
+				t.Fatal("join emitted nothing")
 			}
-			epoch := e.Epoch()
-			for i := 0; i < 200 && !e.ReconfigComplete(epoch); i++ {
-				e.Run(e.Config().Tick)
+			if base != moved {
+				t.Fatalf("re-partitioning changed join matches: %v vs %v", base, moved)
 			}
-			if !e.ReconfigComplete(epoch) {
-				t.Fatal("join reconfiguration never completed")
-			}
-			e.InjectFinalize()
-		}
-		// Continue to a fixed virtual horizon either way.
-		e.Run(vtime.Time(14 * vtime.Second).Sub(e.Clock()))
-		e.Metrics().StopMeasurement(e.Clock())
-		return e.Metrics().EmittedTotal()
-	}
-	base := run(false)
-	moved := run(true)
-	if base == 0 {
-		t.Fatal("join emitted nothing")
-	}
-	if base != moved {
-		t.Fatalf("re-partitioning changed join matches: %v vs %v", base, moved)
+		})
 	}
 }
 
@@ -220,5 +233,50 @@ func TestHeldTuplesReplayAfterMerge(t *testing.T) {
 	}
 	if st := e.exactState(s, 0); len(st.agg) == 0 {
 		t.Fatal("replayed tuple missing from state")
+	}
+}
+
+// widthStream builds a deterministic stream of the given column count
+// whose last column cycles over `keys` entity IDs; the other columns
+// hold a per-column marker so a row read through the wrong lane shows.
+func widthStream(name string, cols int, keys int64) StreamDef {
+	return StreamDef{
+		Name: name, NumCols: cols, BytesPerTuple: 100,
+		NewSource: func(task int) Source {
+			i := int64(task) * 1009
+			return &rowSource{cols: cols, g: GeneratorFunc(func(t *Tuple, ts vtime.Time) {
+				i++
+				for c := 0; c < cols-1; c++ {
+					t.Cols[c] = int64(1000 * (c + 1))
+				}
+				t.Cols[cols-1] = i % keys
+			})}
+		},
+	}
+}
+
+func TestHeldRowsAcrossInputWidths(t *testing.T) {
+	// A join whose inputs differ in column count parks rows of both
+	// sides in one held block; the replay must read a wide row parked
+	// behind a narrow one back intact.
+	streams := []StreamDef{widthStream("narrow", 2, 8), widthStream("wide", 4, 8)}
+	e := joinEngine(t, streams, [2]int{1, 3})
+	s, g := e.slots[0], keyspace.GroupID(0)
+	s.pendingState[pendKey{0, g}] = true
+	narrow := Tuple{Cols: [MaxCols]int64{1000, 5}}
+	wide := Tuple{Cols: [MaxCols]int64{1000, 2000, 3000, 5}}
+	e.insert(s, e.queries[0], 0, &narrow, g, 1)
+	e.insert(s, e.queries[0], 1, &wide, g, 1)
+	if got := s.held[pendKey{0, g}].rows(); got != 2 {
+		t.Fatalf("%d rows parked, want 2", got)
+	}
+	e.outstandingState++
+	e.mergeState(s, &entry{kind: entryState, stQuery: 0, stGroup: g}, false)
+	var replayed []Tuple
+	for _, buf := range e.exactState(s, 0).join[1] {
+		replayed = append(replayed, buf...)
+	}
+	if len(replayed) != 1 || replayed[0] != wide {
+		t.Fatalf("replayed wide rows %+v, want [%+v]", replayed, wide)
 	}
 }

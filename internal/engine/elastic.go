@@ -228,8 +228,7 @@ func (e *Engine) NumSourceTasks() int { return len(e.tasks) }
 // StallTicks reports the cumulative count of source-task ticks whose
 // prior-tick sends were partially refused by the network — the engine's
 // backpressure signal, available without a telemetry registry. Summed
-// over per-task counters, so the value is identical at any worker or
-// shard count.
+// over per-task counters in task order.
 func (e *Engine) StallTicks() int64 {
 	var n int64
 	for _, rt := range e.tasks {
@@ -273,7 +272,7 @@ func (e *Engine) purgeNodeQueues(n cluster.NodeID) float64 {
 				case entryMarker:
 					e.markersInFlight--
 				}
-				e.nodes[e.tasks[ei].node].recycle(en)
+				e.recycle(en)
 			}
 		}
 	}

@@ -17,12 +17,10 @@ import (
 // when true. The SASPAR control layer (internal/core) drives the
 // engine's statistics hooks and reconfiguration entry points.
 //
-// Externally the engine behaves single-threaded: all entry points are
-// called from one goroutine, and determinism is what makes the AQE
-// correctness tests and the figure reproductions exact. Internally each
-// tick may fan per-node work over cfg.Shards workers — see shard.go for
-// the phase pipeline and why the shard count cannot change one output
-// bit.
+// The engine is single-threaded: all entry points are called from one
+// goroutine, and determinism is what makes the AQE correctness tests
+// and the figure reproductions exact. tick.go holds the per-tick phase
+// pipeline and the order that defines its output.
 type Engine struct {
 	cfg     Config
 	streams []StreamDef
@@ -36,26 +34,20 @@ type Engine struct {
 	plans []*streamPlan // per stream
 	tasks []*routerTask // all router tasks, stream-major
 	slots []*slot
-	nodes []*nodeRun // per-node execution state (slots, tasks, pools)
+	nodes []*nodeRun // per-node tick state (slots, tasks, send staging)
 
-	// shardWorkers is the configured per-tick worker cap (cfg.Shards,
-	// min 1); the effective count is resolved per tick against the node
-	// count and the process-wide parallel budget.
-	shardWorkers int
+	// entryFree recycles consumed entry objects and their payload slice
+	// capacity (see newEntry/recycle).
+	entryFree []*entry
 
 	// markersInFlight counts marker entries injected but not yet
-	// consumed (or destroyed). While nonzero, counting-mode slot phases
-	// serialize: old and new owners of a moving group may touch the
-	// same engine-global counting cell (see tickTurbulent).
+	// consumed (or destroyed).
 	markersInFlight int
 
 	// nodeWork accumulates per-node edge deliveries consumed per tick
-	// for the shard-utilization gauges; nil unless obs is attached.
+	// for the saspar_engine_shard_work gauges; nil unless obs is
+	// attached.
 	nodeWork []int
-
-	// entrySpill is scratch for the per-tick free-list rebalance (see
-	// rebalanceEntryPools), reused so rebalancing never allocates.
-	entrySpill []*entry
 
 	clock   vtime.Time
 	epoch   int64
@@ -175,12 +167,8 @@ func New(cfg Config, streams []StreamDef, queries []QuerySpec) (*Engine, error) 
 		e.slots = append(e.slots, newSlot(p, e.placement.PartitionNode(p), len(e.tasks)))
 	}
 
-	// Per-node execution state: slots and tasks grouped by owning node
-	// (ascending id within each node), plus the per-node entry pools.
-	e.shardWorkers = cfg.Shards
-	if e.shardWorkers < 1 {
-		e.shardWorkers = 1
-	}
+	// Per-node tick state: slots and tasks grouped by owning node
+	// (ascending id within each node).
 	e.nodes = make([]*nodeRun, cfg.Nodes)
 	for n := range e.nodes {
 		e.nodes[n] = &nodeRun{id: cluster.NodeID(n), provIn: make([]float64, cfg.Nodes)}
@@ -263,9 +251,8 @@ func (e *Engine) SetBlockFeed(s StreamID, task int, f BlockFeed) error {
 
 // SetSampler installs the statistics sampler: every `every`-th concrete
 // tuple per router task yields a SampleVec. The spacing gate is
-// per-task (each task counts only its own tuples), so the sampled set
-// is independent of the shard count; samples are delivered to the
-// Sampler sequentially at the tick's merge barrier, in task order.
+// per-task (each task counts only its own tuples); samples are
+// delivered to the Sampler at the tick's merge barrier, in task order.
 func (e *Engine) SetSampler(s Sampler, every int) {
 	e.sampler = s
 	for _, rt := range e.tasks {
@@ -390,9 +377,8 @@ func (e *Engine) Run(d vtime.Duration) error {
 	return nil
 }
 
-// step advances one tick through the phase pipeline of shard.go:
-// sequential prologue, parallel slot phase, barrier-A fold, parallel
-// router phase, barrier-B merge.
+// step advances one tick through the phase pipeline of tick.go:
+// prologue, slot phase, barrier-A fold, router phase, barrier-B merge.
 func (e *Engine) step() {
 	dt := e.cfg.Tick
 	prev := e.clock
@@ -426,22 +412,20 @@ func (e *Engine) step() {
 	// starvation of a fixed slot is impossible. The offset is derived
 	// from the clock (not an incrementing counter) so a run's schedule
 	// depends only on virtual time, keeping replays and the parallel
-	// bench runner bit-identical. The same offset orders the barrier-A
-	// fold, so cross-slot effects apply in the visit order too.
+	// run matrix bit-identical. The same offset orders the barrier-A
+	// fold.
 	off := 0
 	if len(e.slots) > 0 {
 		off = int(e.clock/vtime.Time(dt)) % len(e.slots)
 	}
 
-	workers := e.acquireWorkers()
-	slotWorkers := workers
-	if e.tickTurbulent() {
-		slotWorkers = 1 // counting-mode reconfig window: see shard.go
+	for _, nr := range e.nodes {
+		e.slotPhase(nr, off)
 	}
-	e.runPhase(slotWorkers, phaseSlots, off, dt)
 	e.foldSlotPhase(off)
-	e.runPhase(workers, phaseRouters, off, dt)
-	e.releaseWorkers(workers)
+	for _, nr := range e.nodes {
+		e.routerPhase(nr, dt)
+	}
 	e.routerMerge(boundary)
 
 	if e.obs != nil {
@@ -456,8 +440,8 @@ func (e *Engine) step() {
 // tried to move it can still terminate, and a destroyed marker leaves
 // the in-flight count. (Retired slots own no key groups, so what lands
 // here is heartbeats — zero bytes — and defensive cleanup.) Only called
-// from the sequential phases (barriers, marker broadcast), never from
-// inside a parallel phase.
+// from the barriers and the marker broadcast, never from inside a
+// slot or router phase.
 func (e *Engine) enqueue(rt *routerTask, en *entry) {
 	if dst := e.slots[en.slot].node; (e.nodeDown != nil && e.nodeDown[dst]) || e.nodeRetired(dst) {
 		e.lostBytes += en.bytes
@@ -469,7 +453,7 @@ func (e *Engine) enqueue(rt *routerTask, en *entry) {
 		case entryMarker:
 			e.markersInFlight--
 		}
-		e.nodes[rt.node].recycle(en)
+		e.recycle(en)
 		return
 	}
 	e.inboxBytes[e.slots[en.slot].node] += en.bytes
@@ -582,7 +566,7 @@ func (e *Engine) broadcastMarker(m *Marker) {
 			if e.nodeRetired(e.slots[s].node) {
 				continue
 			}
-			en := e.nodes[rt.node].newEntry()
+			en := e.newEntry()
 			en.kind = entryMarker
 			en.slot = s
 			en.arriveAt = e.clock.Add(e.net.Config().LatNet)

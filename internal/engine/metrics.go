@@ -17,19 +17,16 @@ import (
 // serialization, queueing and processing delays, but not the inherent
 // residence of a tuple inside its window (see DESIGN.md).
 //
-// Sharded accumulation: the hot-path record* calls take the cluster
-// node whose worker produced the sample and write a per-node partial.
-// Reads fold the partials in node-ID order, so every reported number is
-// a fixed-order float sum regardless of how many shard workers executed
-// the tick — the foundation of the engine's byte-identical-at-any-
-// shard-count contract. Nodes are the partition unit (not shards)
-// precisely so the fold order cannot depend on the shard knob.
+// Per-node accumulation: the hot-path record* calls take the cluster
+// node that produced the sample and write a per-node partial. Reads
+// fold the partials in node-ID order, so every reported number is a
+// fixed-order float sum; that fold order is part of the output.
 type Metrics struct {
 	parts []metricsPart // one per cluster node, folded in index order
 
 	reshuffled float64 // weighted tuples sent back to sources (Fig. 9);
-	// written only from the engine's sequential merge phases, so it
-	// needs no per-node split.
+	// written only from the engine's barrier phases, so it needs no
+	// per-node split.
 
 	// removed tombstones per-query rows of ad-hoc queries retired by
 	// RemoveQuery: their rows are zeroed and excluded from further
@@ -43,9 +40,8 @@ type Metrics struct {
 }
 
 // metricsPart is one node's share of the run metrics. Each part is
-// written only by the shard worker that owns the node (or the merge
-// phase, which attributes its records to a deterministic node), so the
-// tick loop records without synchronization.
+// written by the node's own phase work or by a barrier, which
+// attributes its records to a deterministic node.
 type metricsPart struct {
 	processed []float64 // per query, weighted tuples absorbed post-partition
 	emitted   []float64 // per query, weighted window results emitted
@@ -325,7 +321,7 @@ func (m *Metrics) LatencyStddev() vtime.Duration {
 
 // LatencyQuantile reports an approximate weighted latency quantile
 // (q in [0,1]) from the per-node sampled reservoirs, concatenated in
-// node order before sorting so the answer is shard-count independent.
+// node order before sorting.
 func (m *Metrics) LatencyQuantile(q float64) vtime.Duration {
 	var s []float64
 	for i := range m.parts {

@@ -39,8 +39,8 @@ type stagedCell struct {
 // staged transfer (the same GroupBytes convention restores ship with).
 // Returns 0 — and stages nothing — when the query is gone or the
 // snapshot holds no state. Must be called between ticks (the
-// sequential control path): the registry is read, never written, during
-// the parallel slot phase.
+// control path): the registry is read, never written, during the slot
+// phase.
 func (e *Engine) StageGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	if cg.Query < 0 || cg.Query >= len(e.queries) || e.queries[cg.Query].inactive {
 		return 0
@@ -82,9 +82,8 @@ func (e *Engine) StagedCells() int { return len(e.staged) }
 // from a checkpoint (counting state genuinely decays out of the window;
 // for exact windows the same curve is a conservative model of the
 // staged partials' churn since the barrier), capped at the live weight
-// actually extracted. Called from extractState inside the slot phase:
-// the registry is read-only there, so concurrent shard workers are
-// safe.
+// actually extracted. Called from extractState inside the slot phase,
+// where the registry is read-only.
 func (e *Engine) stagedDiscount(qi int, g keyspace.GroupID, cur float64, tau float64) float64 {
 	sc, ok := e.staged[pendKey{qi, g}]
 	if !ok || cur <= 0 {

@@ -52,9 +52,9 @@ func (e *Engine) SetObs(r *obs.Registry) {
 		outstanding: r.Gauge("saspar_engine_outstanding_state_moves",
 			"Window-state fragments moved but not yet merged at their new owner."),
 		shardWorkMax: r.Gauge("saspar_engine_shard_work_max",
-			"Largest per-node slot-entry consumption last tick (node-derived, so identical at any shard count)."),
+			"Largest per-node slot-entry consumption last tick."),
 		shardWorkMean: r.Gauge("saspar_engine_shard_work_mean",
-			"Mean per-node slot-entry consumption last tick (node-derived, so identical at any shard count)."),
+			"Mean per-node slot-entry consumption last tick."),
 		queueDepth: r.Histogram("saspar_engine_inbox_depth_bytes",
 			"Per-tick distribution of total ingress buffer occupancy.",
 			[]float64{1 << 16, 1 << 20, 16 << 20, 64 << 20, 256 << 20}),

@@ -149,7 +149,7 @@ type pendingSend struct {
 
 	// f is the staged send fraction: serialization CPU was burned for
 	// this share of the send during the router phase, against the
-	// shard-local link estimate. commit re-clamps it downward against
+	// provisional per-node link estimate. commit re-clamps it downward against
 	// authoritative link state before the bytes hit the network.
 	f float64
 }
@@ -198,7 +198,7 @@ type routerTask struct {
 
 	// gate spaces this task's tuple samples. Per task — not engine-wide
 	// — so the sampled subsequence is a function of the task's own
-	// tuple stream, invariant under sharding.
+	// tuple stream.
 	gate sampleGate
 
 	// Staged samples, delivered to the engine's sampler at barrier B in
@@ -327,9 +327,9 @@ func (rt *routerTask) releaseFeed() {
 }
 
 // routeTick generates and routes this task's tuples for one tick of
-// length dt ending at e.clock. Runs in the parallel router phase: it
-// touches only task/node-local state plus read-only engine state, and
-// stages its sends and samples for the sequential barrier B.
+// length dt ending at e.clock. Runs in the router phase: it touches
+// only task/node-local state plus read-only engine state, and stages
+// its sends and samples for barrier B.
 func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
 	plan := e.plans[rt.stream]
 	def := e.streams[rt.stream]
@@ -556,18 +556,6 @@ func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
 		}
 	}
 
-	// Two-class fusion: the dominant folded shape — two single-column
-	// route classes over one stream (an aggregate plus a join side, or
-	// two aggregates on different columns), power-of-two groups, every
-	// row accepted. One pass per block advances both accumulator chains
-	// together: the chains are independent, so the superscalar core
-	// overlaps them, and the row-index moments are computed once for
-	// both.
-	fuse2 := !rowLanes && !sampling && !checkAcc && nc == 2 &&
-		e.space.Mask() != 0 &&
-		len(plan.classes[0].key) == 1 && len(plan.classes[1].key) == 1 &&
-		rt.dupOf[1] < 0
-
 	src := rt.src
 	if rt.feed != nil {
 		src = &rt.fc
@@ -627,225 +615,179 @@ func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
 		// the flat per-(class, group) run accumulators; row-lane layouts
 		// record slots for the shared merge pass below or scatter rows
 		// straight into non-shared buckets.
-		if fuse2 {
-			rc0, rc1 := plan.classes[0], plan.classes[1]
-			col0 := blk.Col[rc0.key[0]][:m]
-			col1 := blk.Col[rc1.key[0]][:m]
-			cells0 := rt.runAcc[:ng]
-			cells1 := rt.runAcc[ng : ng+ng]
-			gi := int64(lo)
-			if shared {
-				// The merge pass reads both slot lanes.
-				sl0 := rt.slotScr[:m]
-				sl1 := rt.slotScr[bs : bs+m]
-				route0, route1 := rc0.route, rc1.route
-				for r := 0; r < m; r++ {
-					g0 := int(keyspace.Mix64(uint64(col0[r]))) & (len(cells0) - 1)
-					g1 := int(keyspace.Mix64(uint64(col1[r]))) & (len(cells1) - 1)
-					sl0[r] = int32(route0[g0])
-					sl1[r] = int32(route1[g1])
-					q := gi * gi
-					c0, c1 := &cells0[g0], &cells1[g1]
-					c0.k++
-					c0.si += gi
-					c0.si2 += q
-					c1.k++
-					c1.si += gi
-					c1.si2 += q
-					gi++
+		for ci, rc := range plan.classes {
+			bit := uint64(1) << uint(ci)
+			sl := rt.slotScr[ci*bs : ci*bs+m]
+			if dj := int(rt.dupOf[ci]); dj >= 0 {
+				// Twin of an earlier class this tick: reuse its slot
+				// lane; the run cells are copied once at tick end.
+				if shared && nc > 1 {
+					copy(sl, rt.slotScr[dj*bs:dj*bs+m])
 				}
-			} else {
-				for r := 0; r < m; r++ {
-					g0 := int(keyspace.Mix64(uint64(col0[r]))) & (len(cells0) - 1)
-					g1 := int(keyspace.Mix64(uint64(col1[r]))) & (len(cells1) - 1)
-					q := gi * gi
-					c0, c1 := &cells0[g0], &cells1[g1]
-					c0.k++
-					c0.si += gi
-					c0.si2 += q
-					c1.k++
-					c1.si += gi
-					c1.si2 += q
-					gi++
-				}
+				continue
 			}
-			rt.accCnt[0] += int64(m)
-			rt.accCnt[1] += int64(m)
-		} else {
-			for ci, rc := range plan.classes {
-				bit := uint64(1) << uint(ci)
-				sl := rt.slotScr[ci*bs : ci*bs+m]
-				if dj := int(rt.dupOf[ci]); dj >= 0 {
-					// Twin of an earlier class this tick: reuse its slot
-					// lane; the run cells are copied once at tick end.
-					if shared && nc > 1 {
-						copy(sl, rt.slotScr[dj*bs:dj*bs+m])
+			gr := rt.grpScr[ci*bs : ci*bs+m]
+			route := rc.route
+			acc := int64(0)
+			switch {
+			case !rowLanes:
+				// The merge pass only needs per-row slots when distinct
+				// classes could target distinct slots of one row.
+				needSlot := shared && nc > 1
+				base := ci * ng
+				lo64 := int64(lo)
+				runAcc := rt.runAcc
+				if mask := e.space.Mask(); mask != 0 && !sampling {
+					// Power-of-two group count: fold the hash into the
+					// accumulate loop — no group lane round trip. Not
+					// while sampling: the sampler stages the per-class
+					// group lane, which this path does not fill.
+					// cells is exactly the group space of this class, so
+					// len(cells)-1 == mask and masking with it both picks
+					// the group and proves the index in range (no bounds
+					// check in the hot loop).
+					var keys []uint64
+					if len(rc.key) == 1 {
+						// A single-column key IS the raw lane —
+						// uint64(x) of an int64 is a bit
+						// reinterpretation — so fold the column in
+						// place instead of copying it through the key
+						// scratch.
+						col := blk.Col[rc.key[0]]
+						keys = unsafe.Slice((*uint64)(unsafe.Pointer(&col[0])), m)
+					} else {
+						rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
+						keys = rt.keyScr[:m]
 					}
-					continue
-				}
-				gr := rt.grpScr[ci*bs : ci*bs+m]
-				route := rc.route
-				acc := int64(0)
-				switch {
-				case !rowLanes:
-					// The merge pass only needs per-row slots when distinct
-					// classes could target distinct slots of one row.
-					needSlot := shared && nc > 1
-					base := ci * ng
-					lo64 := int64(lo)
-					runAcc := rt.runAcc
-					if mask := e.space.Mask(); mask != 0 && !sampling {
-						// Power-of-two group count: fold the hash into the
-						// accumulate loop — no group lane round trip. Not
-						// while sampling: the sampler stages the per-class
-						// group lane, which this path does not fill.
-						// cells is exactly the group space of this class, so
-						// len(cells)-1 == mask and masking with it both picks
-						// the group and proves the index in range (no bounds
-						// check in the hot loop).
-						var keys []uint64
-						if len(rc.key) == 1 {
-							// A single-column key IS the raw lane —
-							// uint64(x) of an int64 is a bit
-							// reinterpretation — so fold the column in
-							// place instead of copying it through the key
-							// scratch.
-							col := blk.Col[rc.key[0]]
-							keys = unsafe.Slice((*uint64)(unsafe.Pointer(&col[0])), m)
-						} else {
-							rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-							keys = rt.keyScr[:m]
-						}
-						cells := runAcc[base : base+ng]
-						switch {
-						case !checkAcc && !needSlot:
-							// Every row accepted, slot lane unused (single
-							// class or non-shared): the tightest loop.
-							acc = int64(m)
-							gi := lo64
-							for _, k := range keys {
-								c := &cells[int(keyspace.Mix64(k))&(len(cells)-1)]
-								c.k++
-								c.si += gi
-								c.si2 += gi * gi
-								gi++
-							}
-						case !checkAcc:
-							acc = int64(m)
-							for r, k := range keys {
-								g := int(keyspace.Mix64(k)) & (len(cells) - 1)
-								sl[r] = int32(route[g])
-								gi := lo64 + int64(r)
-								c := &cells[g]
-								c.k++
-								c.si += gi
-								c.si2 += gi * gi
-							}
-						default:
-							for r, k := range keys {
-								if rt.accScr[r]&bit == 0 {
-									if needSlot {
-										sl[r] = -1
-									}
-									continue
-								}
-								g := int(keyspace.Mix64(k)) & (len(cells) - 1)
-								if needSlot {
-									sl[r] = int32(route[g])
-								}
-								acc++
-								gi := lo64 + int64(r)
-								c := &cells[g]
-								c.k++
-								c.si += gi
-								c.si2 += gi * gi
-							}
-						}
-						rt.accCnt[ci] += acc
-						continue
-					}
-					rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-					e.space.GroupsOfKeys(rt.keyScr[:m], gr)
-					if !checkAcc {
-						// Every row accepted: branch-free accumulate.
+					cells := runAcc[base : base+ng]
+					switch {
+					case !checkAcc && !needSlot:
+						// Every row accepted, slot lane unused (single
+						// class or non-shared): the tightest loop.
 						acc = int64(m)
-						for r := 0; r < m; r++ {
-							g := int(gr[r])
-							if needSlot {
-								sl[r] = int32(route[g])
-							}
+						gi := lo64
+						for _, k := range keys {
+							c := &cells[int(keyspace.Mix64(k))&(len(cells)-1)]
+							c.k++
+							c.si += gi
+							c.si2 += gi * gi
+							gi++
+						}
+					case !checkAcc:
+						acc = int64(m)
+						for r, k := range keys {
+							g := int(keyspace.Mix64(k)) & (len(cells) - 1)
+							sl[r] = int32(route[g])
 							gi := lo64 + int64(r)
-							c := &runAcc[base+g]
+							c := &cells[g]
 							c.k++
 							c.si += gi
 							c.si2 += gi * gi
 						}
-					} else {
-						for r := 0; r < m; r++ {
+					default:
+						for r, k := range keys {
 							if rt.accScr[r]&bit == 0 {
 								if needSlot {
 									sl[r] = -1
 								}
 								continue
 							}
-							g := int(gr[r])
+							g := int(keyspace.Mix64(k)) & (len(cells) - 1)
 							if needSlot {
 								sl[r] = int32(route[g])
 							}
 							acc++
 							gi := lo64 + int64(r)
-							c := &runAcc[base+g]
+							c := &cells[g]
 							c.k++
 							c.si += gi
 							c.si2 += gi * gi
 						}
 					}
-				case shared:
-					// Row lanes, shared: record routes only; the merge pass
-					// dedups physical copies and fills the lanes.
-					rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-					e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+					rt.accCnt[ci] += acc
+					continue
+				}
+				rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
+				e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+				if !checkAcc {
+					// Every row accepted: branch-free accumulate.
+					acc = int64(m)
 					for r := 0; r < m; r++ {
-						if checkAcc && rt.accScr[r]&bit == 0 {
-							sl[r] = -1
-							continue
+						g := int(gr[r])
+						if needSlot {
+							sl[r] = int32(route[g])
 						}
-						sl[r] = int32(route[gr[r]])
-						acc++
+						gi := lo64 + int64(r)
+						c := &runAcc[base+g]
+						c.k++
+						c.si += gi
+						c.si2 += gi * gi
 					}
-				default:
-					// Row lanes, non-shared: scatter rows straight into the
-					// per-(class, slot) buckets.
-					rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-					e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+				} else {
 					for r := 0; r < m; r++ {
-						if checkAcc && rt.accScr[r]&bit == 0 {
-							sl[r] = -1
+						if rt.accScr[r]&bit == 0 {
+							if needSlot {
+								sl[r] = -1
+							}
 							continue
 						}
-						g := keyspace.GroupID(gr[r])
-						p := int(route[g])
-						sl[r] = int32(p)
+						g := int(gr[r])
+						if needSlot {
+							sl[r] = int32(route[g])
+						}
 						acc++
-						bk := ci*np + p
-						b := rt.buckets[bk]
-						if b == nil {
-							b = nr.newEntry()
-							b.kind, b.stream, b.slot = entryData, rt.stream, p
-							b.class, b.epoch, b.plan = rc, e.epoch, plan
-							rt.buckets[bk] = b
-							rt.usedKeys = append(rt.usedKeys, bk)
-						}
-						b.blk.TS = append(b.blk.TS, ts[r])
-						for c := 0; c < laneCols; c++ {
-							b.blk.Col[c] = append(b.blk.Col[c], blk.Col[c][r])
-						}
-						b.groups = append(b.groups, keyspace.GroupID(g))
-						b.n++
+						gi := lo64 + int64(r)
+						c := &runAcc[base+g]
+						c.k++
+						c.si += gi
+						c.si2 += gi * gi
 					}
 				}
-				rt.accCnt[ci] += acc
+			case shared:
+				// Row lanes, shared: record routes only; the merge pass
+				// dedups physical copies and fills the lanes.
+				rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
+				e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+				for r := 0; r < m; r++ {
+					if checkAcc && rt.accScr[r]&bit == 0 {
+						sl[r] = -1
+						continue
+					}
+					sl[r] = int32(route[gr[r]])
+					acc++
+				}
+			default:
+				// Row lanes, non-shared: scatter rows straight into the
+				// per-(class, slot) buckets.
+				rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
+				e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+				for r := 0; r < m; r++ {
+					if checkAcc && rt.accScr[r]&bit == 0 {
+						sl[r] = -1
+						continue
+					}
+					g := keyspace.GroupID(gr[r])
+					p := int(route[g])
+					sl[r] = int32(p)
+					acc++
+					bk := ci*np + p
+					b := rt.buckets[bk]
+					if b == nil {
+						b = e.newEntry()
+						b.kind, b.stream, b.slot = entryData, rt.stream, p
+						b.class, b.epoch, b.plan = rc, e.epoch, plan
+						rt.buckets[bk] = b
+						rt.usedKeys = append(rt.usedKeys, bk)
+					}
+					b.blk.TS = append(b.blk.TS, ts[r])
+					for c := 0; c < laneCols; c++ {
+						b.blk.Col[c] = append(b.blk.Col[c], blk.Col[c][r])
+					}
+					b.groups = append(b.groups, keyspace.GroupID(g))
+					b.n++
+				}
 			}
+			rt.accCnt[ci] += acc
 		}
 
 		// Shared merge pass: collect the distinct target slots across
@@ -943,7 +885,7 @@ func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
 					bk := int(p)
 					b := rt.buckets[bk]
 					if b == nil {
-						b = nr.newEntry()
+						b = e.newEntry()
 						b.kind, b.stream, b.shared = entryData, rt.stream, true
 						b.slot, b.epoch, b.plan = bk, e.epoch, plan
 						rt.buckets[bk] = b
@@ -1020,7 +962,7 @@ func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
 				}
 				b := rt.buckets[bk]
 				if b == nil {
-					b = nr.newEntry()
+					b = e.newEntry()
 					b.kind, b.stream, b.slot = entryData, rt.stream, p
 					b.epoch, b.plan = e.epoch, plan
 					if shared {
@@ -1134,8 +1076,8 @@ func (rt *routerTask) emit(e *Engine, nr *nodeRun, ps pendingSend) {
 	rt.stage(e, nr, ps)
 }
 
-// stage sizes one send during the parallel router phase: serialization
-// CPU is taken from the node-local meter against the shard-local link
+// stage sizes one send during the router phase: serialization CPU is
+// taken from the node-local meter against the provisional link
 // estimate — authoritative link state minus this node's own
 // provisional claims — so no CPU is burned on bytes the network would
 // obviously refuse. The estimate ignores other nodes' staged sends;
@@ -1155,7 +1097,7 @@ func (rt *routerTask) stage(e *Engine, nr *nodeRun, ps pendingSend) {
 		// the recovery experiment measures.
 		rt.tickOffered += sendBytes
 		nr.lostBytes += sendBytes
-		nr.recycle(en)
+		e.recycle(en)
 		return
 	}
 
@@ -1192,8 +1134,8 @@ func (rt *routerTask) stage(e *Engine, nr *nodeRun, ps pendingSend) {
 // re-clamped downward against authoritative link headroom (several
 // nodes' stages may have oversubscribed one ingress link), the bytes
 // hit the network, and the entry rides its edge. Runs in global task
-// order, so contention between shards resolves identically at every
-// shard count.
+// order, so contention between nodes for one link resolves the same
+// way every run.
 func (rt *routerTask) commit(e *Engine, ps *pendingSend) {
 	en := ps.en
 	f := ps.f
@@ -1273,7 +1215,7 @@ func (rt *routerTask) ship(e *Engine, ps pendingSend) {
 		// the recovery experiment measures.
 		rt.tickOffered += sendBytes
 		e.lostBytes += sendBytes
-		e.nodes[rt.node].recycle(en)
+		e.recycle(en)
 		return
 	}
 
@@ -1404,7 +1346,7 @@ func splitSend(ps *pendingSend, k int) pendingSend {
 func (rt *routerTask) heartbeat(e *Engine) {
 	wm := e.clock.Add(-e.cfg.WatermarkLag)
 	for s := 0; s < e.cfg.NumPartitions; s++ {
-		en := e.nodes[rt.node].newEntry()
+		en := e.newEntry()
 		en.kind = entryHeartbeat
 		en.slot = s
 		en.arriveAt = e.clock.Add(e.net.Config().LatMem)

@@ -161,12 +161,12 @@ type slot struct {
 	held map[pendKey]*heldBlock
 
 	// decayMemo caches the last counting-decay factor folded on this
-	// slot (see expMemo); slot-owned so shard workers never share it.
+	// slot (see expMemo).
 	decayMemo expMemo
 
-	// fx stages this slot's cross-node effects during the parallel slot
-	// phase; the barrier-A fold drains it in canonical slot order (see
-	// shard.go).
+	// fx stages this slot's cross-node effects during the slot phase;
+	// the barrier-A fold drains it in canonical slot order (see
+	// tick.go).
 	fx slotFx
 }
 
@@ -187,12 +187,9 @@ func newSlot(id int, node cluster.NodeID, numEdges int) *slot {
 }
 
 // process drains processable entries within this tick's CPU budget.
-// Runs inside the (possibly parallel) slot phase: it may touch only
-// state owned by this slot's node plus the slot's staging buffer, and
-// in counting mode the engine-global counting cells its routing
-// exclusively owns (serialized during reconfiguration windows — see
-// tickTurbulent).
-func (s *slot) process(e *Engine, nr *nodeRun) {
+// Runs inside the slot phase: cross-node effects stage on s.fx for the
+// barrier-A fold.
+func (s *slot) process(e *Engine) {
 	if e.clock < s.busyUntil {
 		return // JIT compilation in progress
 	}
@@ -224,12 +221,12 @@ func (s *slot) process(e *Engine, nr *nodeRun) {
 					// The Marker object is retained via alignM; the
 					// carrier entry is done and returns to the pool. Its
 					// in-flight count decrements at the barrier fold.
-					nr.recycle(q.pop())
+					e.recycle(q.pop())
 					s.fx.markers++
 					s.fx.entries++
 					progressed = true
 					if s.alignLeft == 0 {
-						s.completeAlignment(e, nr)
+						s.completeAlignment(e)
 					}
 					continue
 				}
@@ -248,7 +245,7 @@ func (s *slot) process(e *Engine, nr *nodeRun) {
 					part := *en
 					part.scale = en.scale * frac
 					cpu.Take(need * frac)
-					s.consume(e, nr, &part)
+					s.consume(e, &part)
 					en.scale *= 1 - frac
 					e.inboxBytes[s.node] -= en.bytes * frac
 					en.bytes *= 1 - frac
@@ -258,11 +255,11 @@ func (s *slot) process(e *Engine, nr *nodeRun) {
 				cpu.Take(need)
 				q.pop()
 				e.inboxBytes[s.node] -= en.bytes
-				s.consume(e, nr, en)
+				s.consume(e, en)
 				// consume copies everything it keeps (window state,
 				// held tuples, state partials), so the entry and its
 				// payload capacity go back to the free list.
-				nr.recycle(en)
+				e.recycle(en)
 				s.fx.entries++
 				progressed = true
 			}
@@ -354,7 +351,7 @@ func (s *slot) opCPU(e *Engine, rc *routeClass, w float64) float64 {
 
 // consume applies an entry to this slot's operator state. The caller
 // has already recorded the entry's watermark against its edge.
-func (s *slot) consume(e *Engine, nr *nodeRun, en *entry) {
+func (s *slot) consume(e *Engine, en *entry) {
 	switch en.kind {
 	case entryHeartbeat:
 		return
@@ -508,7 +505,7 @@ func (s *slot) advanceWatermark(e *Engine) {
 // to a source operator, and unblock the edges. Cross-node effects —
 // the alignment count, checkpoint capture, extracted-state dispatch,
 // JIT telemetry — stage on s.fx for the barrier-A fold.
-func (s *slot) completeAlignment(e *Engine, nr *nodeRun) {
+func (s *slot) completeAlignment(e *Engine) {
 	m := s.alignM
 	s.alignM = nil
 	for i := range s.blocked {
@@ -567,7 +564,7 @@ func (s *slot) completeAlignment(e *Engine, nr *nodeRun) {
 		// state back to the source operator for re-partitioning.
 		for _, g := range moved {
 			if int(d.OldAssign[qi].Partition(g)) == s.id {
-				e.extractState(s, nr, qi, g)
+				e.extractState(s, qi, g)
 			}
 			if e.cfg.ExactWindows && int(q.assign.Partition(g)) == s.id {
 				// Emission hold only matters for concrete windows;

@@ -47,8 +47,7 @@ func (c *qCounting) decayTo(side int, g keyspace.GroupID, now vtime.Time, tau fl
 // state every live (side, group) cell of a slot decays by exactly one
 // tick with the query's fixed tau, so the same (dt, tau) pair recurs on
 // every call; the memo returns the identical math.Exp result without
-// re-evaluating it. Each slot owns one, so parallel shard workers never
-// share a cell.
+// re-evaluating it. Each slot owns one.
 type expMemo struct{ dt, tau, v float64 }
 
 func (mz *expMemo) exp(dt, tau float64) float64 {
@@ -181,7 +180,13 @@ func (e *Engine) insert(s *slot, q *queryInst, side int, t *Tuple, g keyspace.Gr
 			hb = &heldBlock{}
 			s.held[k] = hb
 		}
-		hb.blk.AppendRow(t, e.streams[q.spec.Inputs[side].Stream].NumCols, w)
+		// Every row goes in at the query's widest input width, so all
+		// lanes stay as long as TS even when the sides differ in width.
+		cols := 0
+		for _, in := range q.spec.Inputs {
+			cols = max(cols, e.streams[in.Stream].NumCols)
+		}
+		hb.blk.AppendRow(t, cols, w)
 		hb.sides = append(hb.sides, uint8(side))
 		return
 	}
@@ -283,9 +288,9 @@ func sortAggKeys(keys []aggMapKey) {
 // second leg ("tuples sent back to the source operator") of Fig. 9.
 // Window keys extract in sorted order so en.stWeight (a float sum) and
 // the shipped payload order are map-iteration independent.
-func (e *Engine) extractState(s *slot, nr *nodeRun, qi int, g keyspace.GroupID) {
+func (e *Engine) extractState(s *slot, qi int, g keyspace.GroupID) {
 	q := e.queries[qi]
-	en := nr.newEntry()
+	en := e.newEntry()
 	en.kind = entryState
 	en.stQuery = qi
 	en.stGroup = g
@@ -325,9 +330,6 @@ func (e *Engine) extractState(s *slot, nr *nodeRun, qi int, g keyspace.GroupID) 
 			}
 		}
 	} else {
-		// Counting cells are engine-global; safe here because extraction
-		// only happens on reconfiguration ticks, which the turbulence
-		// carve-out runs single-worker (see tickTurbulent).
 		c := e.qcount[qi]
 		tau := q.spec.Window.Range.Seconds()
 		for side := range c.rate {
@@ -342,7 +344,7 @@ func (e *Engine) extractState(s *slot, nr *nodeRun, qi int, g keyspace.GroupID) 
 		// class in counting mode, whose state is carried by the
 		// representative). Exact mode always ships, even empty, so the
 		// new owner's emission hold clears.
-		nr.recycle(en)
+		e.recycle(en)
 		return
 	}
 	if e.staged != nil {

@@ -212,8 +212,8 @@ func (b *TupleBlock) RowTuple(t *Tuple, i, cols int) {
 // queue of externally produced blocks the router task drains instead of
 // synthesizing rows from a rate. Poll returns the next queued block (or
 // nil when the queue is empty); Release returns a fully consumed block
-// to the producer for recycling. The engine calls both only from the
-// single goroutine executing that task's router phase, so a
+// to the producer for recycling. The engine calls both only from its
+// driving goroutine, during that task's router phase, so a
 // single-producer/single-consumer queue satisfies the contract.
 //
 // Incoming blocks need no TS lane: the router stamps claimed rows with

@@ -195,17 +195,17 @@ func checkReset(t *testing.T, path string, v reflect.Value) {
 }
 
 // TestRecycleResetsEveryField guards the freelist reset in
-// nodeRun.recycle, which resets entry field by field (a whole-struct
+// Engine.recycle, which resets entry field by field (a whole-struct
 // assignment would duffcopy the embedded TupleBlock's 14 slice headers
 // on the hot path). A field added to entry without a matching reset
 // shows up here as stale state, not as a Heisenbug in a recycled tick.
 func TestRecycleResetsEveryField(t *testing.T) {
 	var en entry
 	populateValue(reflect.ValueOf(&en).Elem())
-	var nr nodeRun
-	nr.recycle(&en)
+	var e Engine
+	e.recycle(&en)
 	checkReset(t, "entry", reflect.ValueOf(&en).Elem())
-	if len(nr.entryFree) != 1 || nr.entryFree[0] != &en {
+	if len(e.entryFree) != 1 || e.entryFree[0] != &en {
 		t.Fatal("recycled entry not returned to the freelist")
 	}
 }

@@ -65,14 +65,13 @@ func Workers() int {
 	return n
 }
 
-// The process-wide worker-token budget. Two parallelism layers draw
-// from it — the run-matrix pools below and the engine's intra-run
-// shard phases (internal/engine, shard.go) — so matrix workers times
-// shards per run can never oversubscribe the host. Every consumer owns
-// one implicit token for its calling goroutine and acquires only the
-// extras, which makes the grant advisory: a zero grant degrades to
-// sequential execution, never deadlock. Results are unaffected by
-// construction — both layers are worker-count invariant.
+// The process-wide worker-token budget. The run-matrix pools below draw
+// from it, so pools nested inside pooled cells can never oversubscribe
+// the host. Every pool owns one implicit token for its calling
+// goroutine and acquires only the extras, which makes the grant
+// advisory: a zero grant degrades to sequential execution, never
+// deadlock. Results are unaffected by construction — pools are
+// worker-count invariant.
 var (
 	budgetMu  sync.Mutex
 	budgetCap = -1 // extra tokens; -1 = unset, resolve lazily to Workers()-1

@@ -4,6 +4,9 @@
 #   gofmt -l           the tree must be gofmt-clean
 #   build + vet        compile the whole module and run static checks
 #   go test ./...      unit, integration, property and shape tests
+#   perfbench          vet and test the benchmark's own nested module
+#                      (root ./... never reaches it): SASPAR-on≡off
+#                      agreement, row conservation, metric names
 #   go test -race ...  the packages that spawn goroutines — the
 #                      run-matrix pool (internal/parallel), the
 #                      optimizer's parallel component solver
@@ -14,19 +17,19 @@
 #                      (internal/aqe), the checkpoint coordinator
 #                      (internal/checkpoint) whose recovery paths run
 #                      inside pooled harness cells and whose delta
-#                      chains staged migration pre-ships, the sharded
-#                      engine step (internal/engine, internal/core):
-#                      their suites raise the parallel budget so the
-#                      slot/router phases really run on goroutines
-#                      (TestShardedChurnStress, the determinism grid —
-#                      including the migration-mode axis and the
-#                      mid-stage crash matrix),
+#                      chains staged migration pre-ships, the engine
+#                      and the control layer (internal/engine,
+#                      internal/core), whose suites drive whole runs —
+#                      optimizer solves, checkpoint captures, staged
+#                      migration — across the worker-budget axis (the
+#                      determinism grid, including the migration-mode
+#                      axis and the mid-stage crash matrix),
 #                      the serving runtime (internal/runtime) whose
 #                      SPSC ingest rings are exactly the kind of
 #                      lock-free code the race detector exists for,
 #                      and the elastic autoscaling policy
-#                      (internal/elastic) whose decisions the pooled
-#                      determinism grid replays under sharded execution
+#                      (internal/elastic) whose decisions the
+#                      determinism grid replays
 #   go test -fuzz ...  short smoke over the native fuzz targets —
 #                      keyspace subset remap/anchor math, mip model
 #                      ingestion, the SPSC ring against a model queue,
@@ -61,6 +64,9 @@ go vet ./...
 
 echo "== go test"
 go test ./...
+
+echo "== perfbench (nested module: vet + test)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (concurrent packages)"
 go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./internal/faults/ ./internal/aqe/ ./internal/checkpoint/ ./internal/engine/ ./internal/core/ ./internal/runtime/ ./internal/elastic/
